@@ -32,6 +32,43 @@ func TestLocalBroadcastScratchZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Scratch.LocalBroadcast allocates %v per call in steady state, want 0", allocs)
 	}
+
+	// The listen-session shape: many receivers, a few senders, most
+	// receivers never hearing, on one engine and Scratch reused across
+	// graphs of two sizes.
+	type shape struct {
+		g         *graph.Graph
+		senders   []radio.TX
+		receivers []int32
+		got       []radio.Msg
+		ok        []bool
+	}
+	var shapes []shape
+	for _, g := range []*graph.Graph{graph.Grid(40, 40), graph.Grid(16, 16)} {
+		sh := shape{g: g}
+		for v := int32(0); v < int32(g.N()); v++ {
+			if v%97 == 5 {
+				sh.senders = append(sh.senders, radio.TX{ID: v, Msg: radio.Msg{A: uint64(v)}})
+			} else {
+				sh.receivers = append(sh.receivers, v)
+			}
+		}
+		sh.got, sh.ok = make([]radio.Msg, len(sh.receivers)), make([]bool, len(sh.receivers))
+		shapes = append(shapes, sh)
+	}
+	e = radio.NewEngine(shapes[0].g)
+	p = ParamsFor(shapes[0].g.N(), 4)
+	both := func() {
+		for _, sh := range shapes {
+			call++
+			e.Reset(sh.g)
+			s.LocalBroadcast(e, p, sh.senders, sh.receivers, rng.Derive(1, call), sh.got, sh.ok)
+		}
+	}
+	both() // warm
+	if allocs := testing.AllocsPerRun(50, both); allocs != 0 {
+		t.Fatalf("Scratch.LocalBroadcast allocates %v per call pair (many silent receivers, engine reused across sizes), want 0", allocs)
+	}
 }
 
 // TestScratchBFSMatchesFresh pins the pooled path to the one-shot path: the

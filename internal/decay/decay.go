@@ -59,11 +59,9 @@ func (p Params) Duration() int64 {
 // A Scratch is not safe for concurrent use; the trial harness keeps one per
 // worker.
 type Scratch struct {
-	active []int32
-	idx    []int
 	slotOf []int
-	tx     []radio.TX
-	out    []radio.RX
+	start  []int
+	bucket []radio.TX
 	rnd    rng.Source
 
 	// BFS state.
@@ -81,64 +79,54 @@ type Scratch struct {
 // Lemma 2.4); senders transmit once per pass in a decay-distributed slot.
 // callSeed must be fresh per call (derive it from a root seed and a call
 // counter). got and ok must have len(receivers).
+//
+// The receivers form one engine listen session for the whole call, so a
+// slot costs O(Σ deg(transmitters) + heard) however many receivers are
+// still awake, and a slot nobody transmits in is a skipped round.
 func (s *Scratch) LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, receivers []int32, callSeed uint64, got []radio.Msg, ok []bool) {
 	if len(got) != len(receivers) || len(ok) != len(receivers) {
 		panic("decay: result slices must match receivers length")
-	}
-	for i := range ok {
-		ok[i] = false
-		got[i] = radio.Msg{}
 	}
 	if len(senders) == 0 && len(receivers) == 0 {
 		e.SkipRounds(p.Duration())
 		return
 	}
-	// active receivers, tracked by index into receivers.
-	active := scratch.Grow(s.active, len(receivers))
-	idx := scratch.Grow(s.idx, len(receivers)) // idx[j] = original position of active[j]
-	s.active, s.idx = active, idx
-	for i, r := range receivers {
-		active[i] = r
-		idx[i] = i
-	}
+	e.OpenListen(receivers, got, ok)
 	slotOf := scratch.Grow(s.slotOf, len(senders))
-	s.slotOf = slotOf
-	tx := s.tx
-	out := scratch.Grow(s.out, len(receivers))
-	s.out = out
+	bucket := scratch.Grow(s.bucket, len(senders))
+	start := scratch.Grow(s.start, p.Slots+2) // start[slot], slot in [1, max(Slots, 1)]
+	s.slotOf, s.bucket, s.start = slotOf, bucket, start
 	for pass := 0; pass < p.Passes; pass++ {
-		// Each sender independently picks its decay slot for this pass.
+		// Each sender independently picks its decay slot for this pass; one
+		// stable counting sort then lays the senders out slot by slot, in
+		// their original order within a slot.
+		clear(start)
 		for i := range senders {
 			s.rnd.Reseed(rng.Derive(callSeed, uint64(pass), uint64(senders[i].ID)))
 			slotOf[i] = s.rnd.GeometricSlot(p.Slots)
+			start[slotOf[i]]++
 		}
+		at := 0
+		for slot := 1; slot < len(start); slot++ {
+			start[slot], at = at, at+start[slot]
+		}
+		for i, slot := range slotOf {
+			bucket[start[slot]] = senders[i]
+			start[slot]++
+		}
+		// Placement advanced start[slot] to the end of its bucket, which is
+		// where the next slot's bucket begins.
+		lo := 0
 		for slot := 1; slot <= p.Slots; slot++ {
-			tx = tx[:0]
-			for i := range senders {
-				if slotOf[i] == slot {
-					tx = append(tx, senders[i])
-				}
-			}
-			if len(tx) == 0 && len(active) == 0 {
+			if hi := start[slot]; hi > lo {
+				e.StepListen(bucket[lo:hi])
+				lo = hi
+			} else {
 				e.SkipRounds(1)
-				continue
 			}
-			e.Step(tx, active, out[:len(active)])
-			// Retire receivers that heard something.
-			w := 0
-			for j := range active {
-				if out[j].OK {
-					got[idx[j]] = out[j].Msg
-					ok[idx[j]] = true
-				} else {
-					active[w], idx[w] = active[j], idx[j]
-					w++
-				}
-			}
-			active, idx = active[:w], idx[:w]
 		}
 	}
-	s.tx = tx
+	e.CloseListen(receivers)
 }
 
 // LocalBroadcast is the scratch-free convenience wrapper: it allocates fresh

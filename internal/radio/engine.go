@@ -8,19 +8,26 @@
 // The package provides two front-ends over one physics core:
 //
 //   - Engine: a vectorized step API used by the protocol layers. It is
-//     activity-proportional — the cost of a step is O(Σ deg(transmitters) +
-//     #listeners), and rounds in which nobody is awake are skipped in O(1).
-//     This mirrors the paper's central concern: sleeping radios are free.
-//     One step executes on one of three interchangeable kernels, selected
-//     per step by activity: a sequential CSR walk (the baseline), the same
-//     walk split into k parallel shards for engines built WithShards(k)
-//     (see StepParallel), and a packed-bitmap kernel for the dense regime —
-//     coverage and collisions tracked as word-wide bit operations instead
-//     of per-neighbor counters (see dense.go; threshold via WithDenseMin).
-//     All three are byte-identical in every observable — outputs, meters,
-//     clock, violation counter — at every shard count, so kernel choice is
-//     purely a performance decision, which is how million-vertex instances
-//     use every core inside a single trial.
+//     activity-proportional, mirroring the paper's central concern that
+//     sleeping radios are free. Rounds in which nobody is awake are skipped
+//     in O(1). The protocols' physical channel — every Local-Broadcast —
+//     runs as one listen session (OpenListen/StepListen/CloseListen, see
+//     listen.go): a slot costs O(Σ deg(transmitters) + heard), because a
+//     listener that hears nothing is never touched. Its listen energy is
+//     charged lazily, as the number of rounds it listened, when it hears or
+//     when the session closes; energy is a count of awake slots (§1.1), so
+//     a count taken once equals one taken round by round. A plain Step
+//     (the Sim front-end, the lower-bound experiments) costs
+//     O(Σ deg(transmitters) + #listeners) and executes on one of three
+//     interchangeable kernels, selected per step by activity: a sequential
+//     CSR walk (the baseline), the same walk split into k parallel shards
+//     for engines built WithShards(k) (see StepParallel), and a
+//     packed-bitmap kernel for the dense regime — coverage and collisions
+//     tracked as word-wide bit operations instead of per-neighbor counters
+//     (see dense.go; threshold via WithDenseMin). All three are
+//     byte-identical in every observable — outputs, meters, clock,
+//     violation counter — at every shard count, so kernel choice is purely
+//     a performance decision. A listen session always walks sequentially.
 //
 //   - Sim/Device: a goroutine-per-device blocking API (Listen, Transmit,
 //     Idle) on which free-form protocols can be written as ordinary
@@ -130,6 +137,18 @@ type Engine struct {
 	collided   []uint64
 	wordBounds []int32
 	denseMin   int
+
+	// Listen-session state (see listen.go): pos[v] is v's position in the
+	// open session's listener list, or -1 when v is not an open listener
+	// (all -1 outside a session); sessGot/sessOK are the caller's result
+	// slices, one entry per listener; sessStart is the round the session
+	// opened and sessOpen how many listeners have not yet heard.
+	pos       []int32
+	sessGot   []Msg
+	sessOK    []bool
+	sessStart int64
+	sessOpen  int
+	inSession bool
 }
 
 // shardScratch is the per-shard private state of one sharded step. Entries
@@ -216,12 +235,14 @@ func (e *Engine) Reset(g *graph.Graph) {
 		e.transmits = make([]int64, n)
 		e.cnt = make([]int32, n)
 		e.from = make([]int32, n)
+		e.pos = make([]int32, n)
 	} else {
 		e.energy = e.energy[:n]
 		e.listens = e.listens[:n]
 		e.transmits = e.transmits[:n]
 		e.cnt = e.cnt[:n]
 		e.from = e.from[:n]
+		e.pos = e.pos[:n]
 		clear(e.energy)
 		clear(e.listens)
 		clear(e.transmits)
@@ -235,6 +256,14 @@ func (e *Engine) Reset(g *graph.Graph) {
 	clear(e.txbit[:cap(e.txbit)])
 	clear(e.covered[:cap(e.covered)])
 	clear(e.collided[:cap(e.collided)])
+	// Positions are -1 outside a session; refilling them (rather than
+	// trusting that invariant) and dropping the session keeps a Reset after
+	// a mid-session panic as fresh as NewEngine.
+	for i := range e.pos {
+		e.pos[i] = -1
+	}
+	e.sessGot, e.sessOK = nil, nil
+	e.sessStart, e.sessOpen, e.inSession = 0, 0, false
 	e.touched = e.touched[:0]
 	e.bounds = e.bounds[:0] // shard ownership is per-graph; recompute lazily
 	e.wordBounds = e.wordBounds[:0]
